@@ -3,12 +3,12 @@
 // file" source mode (§6.2). Demonstrates gen::SaveDocuments /
 // LoadDocuments and that a replayed run is bit-identical to a live one.
 //
-// Flags: --runtime=simulation|threaded|pool, --threads=N and
+// Flags: --runtime=simulation|pool, --threads=N and
 // --affinity=none|compact|scatter (pool worker pinning) select the
 // execution substrate. Bit-identical replay is a property of the
-// deterministic simulator; on the concurrent substrates the comparison is
-// reported but not enforced (cross-producer interleaving is scheduling-
-// dependent, as in Storm).
+// deterministic simulator; on the pool the comparison is reported but not
+// enforced (cross-producer interleaving is scheduling-dependent, as in
+// Storm).
 
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--runtime=", 10) == 0) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &kind)) {
         std::fprintf(stderr,
-                     "unknown --runtime '%s' (simulation|threaded|pool)\n",
+                     "unknown --runtime '%s' (simulation|pool)\n",
                      argv[i] + 10);
         return 2;
       }

@@ -6,7 +6,7 @@
 // strongest correlated tag pairs of the final reporting period.
 //
 // The same topology runs on any execution substrate:
-//   --runtime=simulation|threaded|pool   (default: simulation)
+//   --runtime=simulation|pool            (default: simulation)
 //   --threads=N                          (pool workers; 0 = all cores)
 //   --affinity=none|compact|scatter      (pool worker pinning; default none)
 
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
       if (!stream::ParseRuntimeKind(argv[i] + 10, &pipeline.runtime)) {
         std::fprintf(stderr,
                      "unknown --runtime '%s' "
-                     "(simulation|threaded|pool)\n",
+                     "(simulation|pool)\n",
                      argv[i] + 10);
         return 2;
       }

@@ -19,8 +19,8 @@ namespace corrtrack {
 /// indices.
 ///
 /// Thread-compatible: concurrent const access is safe, mutation requires
-/// external serialisation (the simulation runtime is single-threaded; the
-/// threaded runtime keeps one dictionary per parser task).
+/// external serialisation (the simulation runtime is single-threaded; under
+/// the pool runtime each parser task keeps its own dictionary).
 class TagDictionary {
  public:
   TagDictionary() = default;

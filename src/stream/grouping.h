@@ -38,12 +38,18 @@ struct Grouping {
   std::function<size_t(const Message&)> field_hash;
   std::function<bool(const Message&)> filter;
 
-  static Grouping Shuffle() { return {GroupingKind::kShuffle, nullptr}; }
-  static Grouping All() { return {GroupingKind::kAll, nullptr}; }
-  static Grouping Global() { return {GroupingKind::kGlobal, nullptr}; }
-  static Grouping Direct() { return {GroupingKind::kDirect, nullptr}; }
+  static Grouping Shuffle() {
+    return {GroupingKind::kShuffle, nullptr, nullptr};
+  }
+  static Grouping All() { return {GroupingKind::kAll, nullptr, nullptr}; }
+  static Grouping Global() {
+    return {GroupingKind::kGlobal, nullptr, nullptr};
+  }
+  static Grouping Direct() {
+    return {GroupingKind::kDirect, nullptr, nullptr};
+  }
   static Grouping Fields(std::function<size_t(const Message&)> hash) {
-    return {GroupingKind::kFields, std::move(hash)};
+    return {GroupingKind::kFields, std::move(hash), nullptr};
   }
   /// Global grouping restricted to tuples `accept` admits.
   static Grouping GlobalWhere(std::function<bool(const Message&)> accept) {

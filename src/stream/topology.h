@@ -79,7 +79,7 @@ class Spout {
 };
 
 /// Static description of a topology (Fig. 2): components, parallelism and
-/// subscription edges. Runtimes (simulation.h, threaded_runtime.h) execute
+/// subscription edges. Runtimes (simulation.h, pool_runtime.h) execute
 /// it.
 template <typename Message>
 class Topology {

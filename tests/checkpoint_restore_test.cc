@@ -63,7 +63,7 @@ ops::PipelineConfig ElasticPipeline(stream::RuntimeKind kind) {
   pipeline.forced_k_schedule = {4, 8, 3};
   pipeline.tracker_merge = EstimateMerge::kAdditive;
   pipeline.runtime = kind;
-  pipeline.num_threads = 4;       // Pool only; others ignore it.
+  pipeline.num_threads = 4;       // Pool only; the simulator ignores it.
   pipeline.queue_capacity = 256;  // Bounds spout/control-loop skew.
   return pipeline;
 }
@@ -105,9 +105,9 @@ void ExpectPeriodsIdentical(
 /// The cross-run invariant every substrate guarantees: the final cumulative
 /// period covers the whole stream, so its counters are independent of how
 /// thread scheduling interleaved ticks with in-flight documents. Interior
-/// period boundaries are schedule-dependent on the concurrent substrates
-/// (a tick can land a few documents earlier or later run-to-run — true of
-/// two *uninterrupted* threaded runs as well, nothing to do with restore),
+/// period boundaries are schedule-dependent on the pool (a tick can land a
+/// few documents earlier or later run-to-run — true of two *uninterrupted*
+/// pool runs as well, nothing to do with restore),
 /// so only the simulation runtime additionally pins every interior period.
 void ExpectFinalPeriodIdentical(
     const std::map<Timestamp, ops::TrackerBolt::PeriodResults>& got,
@@ -123,7 +123,7 @@ void ExpectFinalPeriodIdentical(
 /// in `index`. `pin_universe` additionally compares the total served-set
 /// count across the two runs — only valid on the deterministic substrate:
 /// the index unions over *all* periods, and interior-period set discovery
-/// is schedule-dependent on the concurrent ones (see
+/// is schedule-dependent on the pool (see
 /// ExpectFinalPeriodIdentical).
 void ExpectServeMatches(const serve::CorrelationIndex& index,
                         const serve::CorrelationIndex& reference,
@@ -264,10 +264,6 @@ void RunKillRestoreDifferential(stream::RuntimeKind kind) {
 
 TEST(KillRestore, DifferentialOnSimulation) {
   RunKillRestoreDifferential(stream::RuntimeKind::kSimulation);
-}
-
-TEST(KillRestore, DifferentialOnThreaded) {
-  RunKillRestoreDifferential(stream::RuntimeKind::kThreaded);
 }
 
 TEST(KillRestore, DifferentialOnPool) {

@@ -96,7 +96,7 @@ void RunForcedResizeDifferential(stream::RuntimeKind kind) {
 
   ops::PipelineConfig run_config = pipeline;
   run_config.runtime = kind;
-  run_config.num_threads = 4;   // Pool only; others ignore it.
+  run_config.num_threads = 4;   // Pool only; the simulator ignores it.
   run_config.queue_capacity = 256;  // Bounds spout/control-loop skew.
   std::unique_ptr<stream::Runtime<ops::Message>> runtime =
       ops::MakeConfiguredRuntime(&topology, run_config);
@@ -125,7 +125,7 @@ void RunForcedResizeDifferential(stream::RuntimeKind kind) {
       runtime->bolt(handles.centralized, 0));
   // Reports arrive epoch-stamped; at least the 4->8 install's epoch must
   // have reached the Tracker (the 8->3 install may land arbitrarily close
-  // to end-of-stream on the concurrent substrates).
+  // to end-of-stream on the pool).
   EXPECT_GE(tracker->latest_epoch(), 2u);
 
   ASSERT_FALSE(oracle->periods().empty());
@@ -161,10 +161,6 @@ void RunForcedResizeDifferential(stream::RuntimeKind kind) {
 
 TEST(ElasticResize, ForcedScheduleMatchesOracleOnSimulation) {
   RunForcedResizeDifferential(stream::RuntimeKind::kSimulation);
-}
-
-TEST(ElasticResize, ForcedScheduleMatchesOracleOnThreaded) {
-  RunForcedResizeDifferential(stream::RuntimeKind::kThreaded);
 }
 
 TEST(ElasticResize, ForcedScheduleMatchesOracleOnPool) {

@@ -847,7 +847,7 @@ TEST(AutoSizeQueueCapacity, DoublesUnderBackpressureOnly) {
 
 TEST(MakeConfiguredRuntime, ZeroQueueCapacityAutoSizes) {
   PipelineConfig config = SmallConfig();
-  config.runtime = stream::RuntimeKind::kThreaded;
+  config.runtime = stream::RuntimeKind::kPool;
   config.queue_capacity = 0;  // Auto.
   stream::Topology<Message> topology;
   gen::GeneratorConfig workload;

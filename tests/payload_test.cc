@@ -22,7 +22,6 @@
 #include "stream/pool_runtime.h"
 #include "stream/runtime_factory.h"
 #include "stream/simulation.h"
-#include "stream/threaded_runtime.h"
 
 namespace corrtrack {
 namespace {
@@ -168,7 +167,7 @@ class EchoBolt : public Bolt<Msg> {
 /// Feedback traffic still queued at end-of-stream is *discarded* by the
 /// engine contract — the discard path must still release every payload
 /// block (no leak, no double free). Tiny queues guarantee residue exists.
-void RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind kind) {
+TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsPool) {
   auto sentinel = std::make_shared<int>(1);
   {
     Topology<Msg> topology;
@@ -186,22 +185,14 @@ void RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind kind) {
     stream::RuntimeOptions options;
     options.queue_capacity = 4;
     options.num_threads = 2;
-    auto runtime = stream::MakeRuntime<Msg>(kind, &topology, options);
-    runtime->Run();
+    stream::PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
     // While the runtime lives, residual feedback envelopes MAY still hold
     // blocks; destruction must return every one of them.
   }
   EXPECT_EQ(sentinel.use_count(), 1)
       << "a payload block outlived the runtime (refcount leak on the "
          "feedback-discard shutdown path)";
-}
-
-TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsThreaded) {
-  RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind::kThreaded);
-}
-
-TEST(PayloadLifecycle, FeedbackDiscardReleasesPayloadsPool) {
-  RunFeedbackDiscardReleasesPayloads(stream::RuntimeKind::kPool);
 }
 
 TEST(PayloadLifecycle, SimulationDrainsEveryBlock) {
@@ -282,10 +273,10 @@ TEST(PayloadLifecycle, CopyOnWriteIsolatesBroadcastConsumers) {
 }
 
 TEST(PayloadLifecycle, SharesCountedAcrossSubstrates) {
-  // The same broadcast topology must report payload_shares on the
-  // concurrent substrates too (and release everything).
+  // The same broadcast topology must report payload_shares on both
+  // substrates (and release everything).
   for (const auto kind :
-       {stream::RuntimeKind::kThreaded, stream::RuntimeKind::kPool}) {
+       {stream::RuntimeKind::kSimulation, stream::RuntimeKind::kPool}) {
     auto sentinel = std::make_shared<int>(1);
     {
       const int n = 2000;
@@ -331,9 +322,10 @@ TEST(PerEdgeCredits, QueueCapacityForTakesTheLargestFloor) {
 
 /// The acceptance regression: the full Fig. 2 cyclic pipeline at global
 /// capacity TWO. Without per-edge credits this lives off the bounded-stall
-/// escape (stall_escapes > 0, see ThreadedRuntime.FullTopologyTinyQueues);
-/// with the feedback edges carrying a real budget the cycle never stalls.
-void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
+/// escape (stall_escapes > 0, see
+/// PoolRuntime.FullTopologyTinyQueuesTerminates); with the feedback edges
+/// carrying a real budget the cycle never stalls.
+TEST(PerEdgeCredits, CapacityTwoStaysStallFreePool) {
   ops::PipelineConfig pipeline;
   pipeline.algorithm = AlgorithmKind::kDS;
   pipeline.num_calculators = 4;
@@ -343,7 +335,7 @@ void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
   pipeline.bootstrap_time = kMillisPerMinute;
   pipeline.queue_capacity = 2;
   pipeline.feedback_queue_capacity = 4096;
-  pipeline.runtime = kind;
+  pipeline.runtime = stream::RuntimeKind::kPool;
   pipeline.num_threads = 2;
 
   gen::GeneratorConfig workload;
@@ -360,16 +352,7 @@ void RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind kind) {
   EXPECT_EQ(runtime->TuplesDelivered(handles.parser), num_docs);
   EXPECT_EQ(runtime->stats().stall_escapes, 0u)
       << "feedback credits must keep the Disseminator<->Merger cycle "
-         "stall-free at capacity 2 on "
-      << stream::RuntimeKindName(kind);
-}
-
-TEST(PerEdgeCredits, CapacityTwoStaysStallFreeThreaded) {
-  RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind::kThreaded);
-}
-
-TEST(PerEdgeCredits, CapacityTwoStaysStallFreePool) {
-  RunCapacityTwoWithFeedbackCredits(stream::RuntimeKind::kPool);
+         "stall-free at capacity 2";
 }
 
 // ---------------------------------------------------------------------------
