@@ -228,7 +228,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     runtime = ops::MakeConfiguredRuntime(topology.get(), pipeline);
     runtime->Run(/*flush_horizon=*/config.pipeline.report_period);
   }
-  metrics.OnRuntimeStats(runtime->stats());
   metrics.FinishSeries();
 
   ExperimentResult result;

@@ -65,7 +65,7 @@ struct ExperimentResult {
   uint64_t documents = 0;
 
   // Execution substrate of the run and its backpressure counters
-  // (MetricsSink::OnRuntimeStats): which runtime executed the topology,
+  // (Runtime::stats() after Run): which runtime executed the topology,
   // envelopes moved, steals, queue-full blocks, max queue depth.
   stream::RuntimeKind runtime = stream::RuntimeKind::kSimulation;
   stream::RuntimeStats runtime_stats;

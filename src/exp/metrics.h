@@ -9,7 +9,6 @@
 #include "core/types.h"
 #include "ops/messages.h"
 #include "ops/metrics_sink.h"
-#include "stream/runtime.h"
 
 namespace corrtrack::telemetry {
 class MetricRegistry;
@@ -74,11 +73,6 @@ class MetricsCollector : public ops::MetricsSink {
   void OnSingleAddition(Timestamp time) override;
   void OnTopologyResize(Epoch epoch, int old_k, int new_k,
                         Timestamp time) override;
-  void OnRuntimeStats(const stream::RuntimeStats& stats) override;
-  void OnCheckpoint(uint64_t seq, uint64_t docs_ingested, uint64_t bytes,
-                    size_t chunks, bool ok, Timestamp time) override;
-  void OnRestore(uint64_t seq, uint64_t docs_ingested,
-                 size_t chunks) override;
 
   /// §8.2.1: average notifications per notified document.
   double AvgCommunication() const;
@@ -114,18 +108,6 @@ class MetricsCollector : public ops::MetricsSink {
   int peak_calculators() const { return peak_calculators_; }
 
   const std::vector<SeriesSample>& series() const { return series_; }
-
-  /// Substrate counters of the run (OnRuntimeStats).
-  const stream::RuntimeStats& runtime_stats() const {
-    return runtime_stats_;
-  }
-
-  /// Durability trail (OnCheckpoint / OnRestore).
-  uint64_t checkpoints_written() const { return checkpoints_written_; }
-  uint64_t checkpoints_failed() const { return checkpoints_failed_; }
-  uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
-  uint64_t restores() const { return restores_; }
-  uint64_t restore_chunks() const { return restore_chunks_; }
 
   /// Periodic exposition: once attached, a JSON snapshot of `registry` is
   /// appended to telemetry_trail() every `every_docs` routed documents
@@ -165,13 +147,6 @@ class MetricsCollector : public ops::MetricsSink {
   std::vector<uint64_t> segment_per_calculator_;
   int segment_repartitions_ = 0;
   std::vector<SeriesSample> series_;
-  stream::RuntimeStats runtime_stats_;
-  // Durability trail.
-  uint64_t checkpoints_written_ = 0;
-  uint64_t checkpoints_failed_ = 0;
-  uint64_t checkpoint_bytes_ = 0;
-  uint64_t restores_ = 0;
-  uint64_t restore_chunks_ = 0;
   // Periodic telemetry exposition (AttachTelemetry).
   telemetry::MetricRegistry* telemetry_registry_ = nullptr;
   uint64_t telemetry_every_docs_ = 0;

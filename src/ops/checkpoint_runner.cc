@@ -89,7 +89,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
                              PeriodSink* baseline_sink,
                              Timestamp final_flush_horizon,
                              CheckpointedRun* out, std::string* error) {
-  if (metrics == nullptr) metrics = NullMetricsSink();
   *out = CheckpointedRun();
   CheckpointRunStats& stats = out->stats;
   const uint64_t fingerprint = PipelineConfigFingerprint(config);
@@ -160,7 +159,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
     stats.restored = true;
     stats.restored_seq = data.seq;
     stats.restored_docs = docs;
-    metrics->OnRestore(data.seq, docs, reader.last_restore_chunks());
     restore_state = std::move(state);
   }
 
@@ -292,8 +290,6 @@ bool RunCheckpointedPipeline(std::unique_ptr<stream::Spout<Message>> spout,
         options.telemetry->checkpoints_failed->Increment();
       }
     }
-    metrics->OnCheckpoint(seq, docs, event.bytes, event.chunks, status.ok(),
-                          last_time);
     stats.events.push_back(event);
 
     restore_state = std::move(captured);

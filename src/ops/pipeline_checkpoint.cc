@@ -1,5 +1,6 @@
 #include "ops/pipeline_checkpoint.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -51,6 +52,14 @@ void PutTagSet(ByteWriter* w, const TagSet& tags) {
   for (const TagId tag : tags) w->PutU32(tag);
 }
 
+// Smallest encodings of the counted elements below (an empty TagSet is its
+// u32 length alone): the floor GetCount checks a decoded count against.
+constexpr size_t kMinTagSetBytes = 4;
+constexpr size_t kMinCounterBytes = kMinTagSetBytes + 8;
+constexpr size_t kMinPeriodBytes = 8 + 8;
+constexpr size_t kMinEstimateBytes = kMinTagSetBytes + 8 + 8 + 8;
+constexpr size_t kMinDocumentBytes = 8 + 8 + kMinTagSetBytes;
+
 bool GetTagSet(ByteReader* r, TagSet* out) {
   uint32_t n = 0;
   if (!r->GetU32(&n)) return false;
@@ -58,6 +67,8 @@ bool GetTagSet(ByteReader* r, TagSet* out) {
   TagId buf[kMaxTagsPerDocument];
   for (uint32_t i = 0; i < n; ++i) {
     if (!r->GetU32(&buf[i])) return false;
+    // FromSorted CHECKs canonical order; a damaged run is refused instead.
+    if (i > 0 && buf[i] <= buf[i - 1]) return false;
   }
   *out = TagSet::FromSorted(buf, buf + n);
   return true;
@@ -75,7 +86,7 @@ void PutCounters(ByteWriter* w,
 bool GetCounters(ByteReader* r,
                  std::vector<std::pair<TagSet, uint64_t>>* out) {
   uint64_t n = 0;
-  if (!r->GetU64(&n)) return false;
+  if (!r->GetCount(&n, kMinCounterBytes)) return false;
   out->clear();
   out->reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -106,12 +117,14 @@ void PutPeriods(
 bool GetPeriods(ByteReader* r,
                 std::map<Timestamp, std::vector<JaccardEstimate>>* out) {
   uint64_t n = 0;
-  if (!r->GetU64(&n)) return false;
+  if (!r->GetCount(&n, kMinPeriodBytes)) return false;
   out->clear();
   for (uint64_t i = 0; i < n; ++i) {
     int64_t period_end = 0;
     uint64_t count = 0;
-    if (!r->GetI64(&period_end) || !r->GetU64(&count)) return false;
+    if (!r->GetI64(&period_end) || !r->GetCount(&count, kMinEstimateBytes)) {
+      return false;
+    }
     std::vector<JaccardEstimate>& estimates = (*out)[period_end];
     estimates.reserve(static_cast<size_t>(count));
     for (uint64_t j = 0; j < count; ++j) {
@@ -138,12 +151,12 @@ void PutPartitionSet(ByteWriter* w, const PartitionSetState& ps) {
 
 bool GetPartitionSet(ByteReader* r, PartitionSetState* out) {
   uint64_t k = 0;
-  if (!r->GetU64(&k)) return false;
+  if (!r->GetCount(&k, 8)) return false;
   out->partition_tags.clear();
   out->partition_tags.resize(static_cast<size_t>(k));
   for (uint64_t p = 0; p < k; ++p) {
     uint64_t n = 0;
-    if (!r->GetU64(&n)) return false;
+    if (!r->GetCount(&n, sizeof(TagId))) return false;
     std::vector<TagId>& tags = out->partition_tags[static_cast<size_t>(p)];
     tags.resize(static_cast<size_t>(n));
     for (uint64_t i = 0; i < n; ++i) {
@@ -151,7 +164,7 @@ bool GetPartitionSet(ByteReader* r, PartitionSetState* out) {
     }
   }
   uint64_t loads = 0;
-  if (!r->GetU64(&loads)) return false;
+  if (!r->GetCount(&loads, 8)) return false;
   out->loads.resize(static_cast<size_t>(loads));
   for (uint64_t i = 0; i < loads; ++i) {
     if (!r->GetU64(&out->loads[static_cast<size_t>(i)])) return false;
@@ -202,7 +215,7 @@ bool DecodePartitioner(std::string_view payload, PartitionerState* out) {
   uint8_t answered = 0;
   uint64_t n = 0;
   if (!r.GetI64(&instance) || !r.GetU32(&out->last_token) ||
-      !r.GetU8(&answered) || !r.GetU64(&n)) {
+      !r.GetU8(&answered) || !r.GetCount(&n, kMinDocumentBytes)) {
     return false;
   }
   out->instance = static_cast<int>(instance);
@@ -230,7 +243,7 @@ std::string EncodeParser(const ParserState& s) {
 bool DecodeParser(std::string_view payload, ParserState* out) {
   ByteReader r(payload);
   uint64_t n = 0;
-  if (!r.GetU64(&n)) return false;
+  if (!r.GetCount(&n, 8)) return false;  // Each name: u64 length + bytes.
   out->tags.clear();
   out->tags.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
@@ -316,7 +329,7 @@ bool DecodeDisseminator(std::string_view payload, DisseminatorState* out) {
       !r.GetU64(&out->handoff_entries_dropped) || !r.GetI64(&cooldown) ||
       !r.GetU64(&out->docs_seen) || !r.GetU64(&out->next_forced) ||
       !r.GetU64(&out->batch_count) || !r.GetU64(&out->batch_notifications) ||
-      !r.GetU64(&batches)) {
+      !r.GetCount(&batches, 8)) {
     return false;
   }
   out->has_partitions = has_partitions != 0;
@@ -329,7 +342,7 @@ bool DecodeDisseminator(std::string_view payload, DisseminatorState* out) {
       return false;
     }
   }
-  if (!r.GetU64(&uncovered)) return false;
+  if (!r.GetCount(&uncovered, kMinCounterBytes)) return false;
   out->uncovered_counts.clear();
   out->uncovered_counts.reserve(static_cast<size_t>(uncovered));
   for (uint64_t i = 0; i < uncovered; ++i) {
@@ -381,7 +394,7 @@ bool ParseInstance(std::string_view name, std::string_view prefix,
   }
   int value = 0;
   for (const char c : name.substr(prefix.size() + 1)) {
-    if (c < '0' || c > '9') return false;
+    if (c < '0' || c > '9' || value > (INT_MAX - 9) / 10) return false;
     value = value * 10 + (c - '0');
   }
   *instance = value;

@@ -149,11 +149,6 @@ struct PipelineConfig {
   /// relies on the bounded-stall escape.
   size_t feedback_queue_capacity = 0;
 
-  /// Pool runtime worker pinning (stream::AffinityPolicy): none (default),
-  /// compact (fill one package/NUMA domain first) or scatter (round-robin
-  /// packages). Ignored by the simulation runtime.
-  stream::AffinityPolicy affinity = stream::AffinityPolicy::kNone;
-
   /// Virtual time the runtime starts at (RuntimeOptions::start_time): tick
   /// schedules begin at the first period boundary strictly after it.
   /// Checkpoint restore sets this to the cut's newest timestamp so a

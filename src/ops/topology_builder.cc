@@ -205,7 +205,6 @@ std::unique_ptr<stream::Runtime<Message>> MakeConfiguredRuntime(
                                ? config.queue_capacity
                                : AutoSizeQueueCapacity(observed);
   options.num_threads = config.num_threads;
-  options.affinity = config.affinity;
   options.start_time = config.virtual_start_time;
   if (config.telemetry != nullptr) {
     options.metrics = &config.telemetry->registry;

@@ -278,7 +278,7 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
   int64_t latest = 0;
   uint64_t num_recent = 0;
   if (!r.GetU32(&shards) || !r.GetU64(&epoch) || !r.GetI64(&latest) ||
-      !r.GetU64(&num_recent)) {
+      !r.GetCount(&num_recent, sizeof(Timestamp))) {
     return false;
   }
   // The shard a tag hashes into depends on the shard count, so a blob from
@@ -304,8 +304,9 @@ bool CorrelationIndex::RestoreState(std::string_view blob) {
       TagId tag_buf[kMaxTagsPerDocument];
       for (uint32_t t = 0; t < num_tags; ++t) {
         if (!r.GetU32(&tag_buf[t])) return false;
+        // Exported via TagSet iteration: an unsorted run is damage.
+        if (t > 0 && tag_buf[t] <= tag_buf[t - 1]) return false;
       }
-      // Exported via TagSet iteration, so the run is canonical already.
       const TagSet tags = TagSet::FromSorted(tag_buf, tag_buf + num_tags);
       BuilderEntry entry;
       if (!r.GetDouble(&entry.coefficient) ||

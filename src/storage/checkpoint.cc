@@ -260,7 +260,9 @@ Status CheckpointReader::ReadManifest(
       !r.GetU64(&out->docs_ingested) || !r.GetI64(&out->last_time) ||
       !r.GetU32(&epoch) || !r.GetU32(&live) || !r.GetU32(&max) ||
       !r.GetU64(&out->config_fingerprint) || !r.GetU8(&clean) ||
-      !r.GetU32(&num_chunks)) {
+      !r.GetU32(&num_chunks) ||
+      // Each chunk-table row: name (u64 length + bytes), u64 size, u32 crc.
+      num_chunks > r.remaining() / (8 + 8 + 4)) {
     return Status::Corruption("manifest header malformed: " + path);
   }
   out->epoch = epoch;

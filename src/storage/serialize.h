@@ -90,6 +90,14 @@ class ByteReader {
     return true;
   }
 
+  /// Reads a u64 element count and refuses it unless the remaining bytes
+  /// can hold that many elements of at least `min_element_bytes` each, so
+  /// a corrupt count fails the decode instead of driving a huge
+  /// reserve/resize before the first element is read.
+  bool GetCount(uint64_t* n, size_t min_element_bytes) {
+    return GetU64(n) && *n <= remaining() / min_element_bytes;
+  }
+
   bool empty() const { return data_.empty(); }
   size_t remaining() const { return data_.size(); }
 

@@ -14,7 +14,6 @@
 
 #include "core/check.h"
 #include "core/types.h"
-#include "stream/cpu_topology.h"
 #include "stream/envelope.h"
 #include "stream/payload.h"
 #include "stream/routing.h"
@@ -59,11 +58,15 @@ namespace corrtrack::stream {
 /// destination already held somewhere in this thread's help chain is
 /// pushed over capacity instead of blocking, which bounds the chain by the
 /// task count and rules out same-thread deadlock. Cross-thread cycles of
-/// simultaneously full queues (two runners blocked pushing at each other,
-/// both unclaimable) — which deadlock strictly blocking queues — are
-/// broken by a bounded-stall overflow escape
-/// (kStallEscapeRounds): after ~64 ms without progress the pusher spills
-/// over capacity, so shutdown always terminates on cyclic topologies.
+/// simultaneously full queues (runners blocked pushing at each other, all
+/// unclaimable) — e.g. the Disseminator->Merger feedback edge against the
+/// Merger->Disseminator install broadcasts, which deadlock strictly
+/// blocking queues — are broken by spilling over capacity: at once when
+/// the pusher sees the cycle (the destination's runner is blocked pushing
+/// to a task whose runner is blocked ... pushing to a task in the pusher's
+/// own help chain), else by a bounded-stall escape (kStallEscapeRounds,
+/// ~64 ms without progress), so shutdown always terminates on cyclic
+/// topologies.
 template <typename Message>
 class PoolRuntime : public Runtime<Message> {
  public:
@@ -75,7 +78,6 @@ class PoolRuntime : public Runtime<Message> {
                          ? options.num_threads
                          : static_cast<int>(std::max(
                                1u, std::thread::hardware_concurrency()))),
-        affinity_(options.affinity),
         start_time_(options.start_time) {
     CORRTRACK_CHECK(topology != nullptr);
     CORRTRACK_CHECK_GT(queue_capacity_, 0u);
@@ -98,29 +100,6 @@ class PoolRuntime : public Runtime<Message> {
   void Run(Timestamp flush_horizon) override {
     CORRTRACK_CHECK(!ran_);
     ran_ = true;
-    // Affinity plan: where each worker pins and whom it prefers to steal
-    // from / which injector shard it drains first. Under kNone the /sys
-    // scan is skipped outright and the empty placement keeps the
-    // unsharded single-queue behaviour.
-    if (affinity_ != AffinityPolicy::kNone) {
-      placement_ = PlanWorkerPlacement(QueryCpuTopology(), num_threads_,
-                                       affinity_);
-    }
-    steal_order_ = PlanStealOrder(placement_);
-    worker_shard_.assign(static_cast<size_t>(num_threads_), 0);
-    int num_shards = 1;
-    for (int w = 0; w < num_threads_; ++w) {
-      if (!placement_.empty()) {
-        worker_shard_[static_cast<size_t>(w)] =
-            placement_[static_cast<size_t>(w)].package;
-      }
-      num_shards = std::max(num_shards,
-                            worker_shard_[static_cast<size_t>(w)] + 1);
-    }
-    inject_shards_.resize(static_cast<size_t>(num_shards));
-    for (auto& shard : inject_shards_) {
-      shard = std::make_unique<InjectShard>();
-    }
     workers_.resize(static_cast<size_t>(num_threads_));
     for (auto& worker : workers_) worker = std::make_unique<Worker>();
     for (int w = 0; w < num_threads_; ++w) {
@@ -209,7 +188,6 @@ class PoolRuntime : public Runtime<Message> {
     stats.tasks_spawned = tasks_spawned_.load(std::memory_order_relaxed);
     stats.tasks_retired = tasks_retired_.load(std::memory_order_relaxed);
     stats.payload_shares = payload_shares_.load(std::memory_order_relaxed);
-    stats.workers_pinned = workers_pinned_.load(std::memory_order_relaxed);
     for (const auto& arena : arenas_) {
       stats.payload_copies += arena->copies();
       stats.arena_reuses += arena->reuses();
@@ -375,6 +353,8 @@ class PoolRuntime : public Runtime<Message> {
     std::unique_ptr<Bolt<Message>> bolt;
     std::unique_ptr<Mailbox> mailbox;
     std::atomic<int> state{kIdle};
+    // BlockedOn() slot of the thread running the task (null when idle).
+    std::atomic<const std::atomic<Task*>*> runner{nullptr};
     int upstream_edges = 0;  // Poisons to await before finishing.
     // Slice-confined state (only the current claimer touches these).
     int poisons_pending = 0;
@@ -548,14 +528,6 @@ class PoolRuntime : public Runtime<Message> {
     }
   }
 
-  // The bounded-stall escape window is routing.h's kStallEscapeRounds: two
-  // tasks blocked pushing at each other's full mailboxes — e.g. the
-  // Disseminator->Merger feedback edge against the Merger->Disseminator
-  // install broadcasts, both backed up — can neither be claimed for
-  // helping (both are kRunning), so strict blocking would deadlock; the
-  // escape trades transient over-capacity on one edge for deadlock
-  // freedom.
-
   /// Moves `*items` into the task's mailbox, helping or waiting when it is
   /// full, then wakes the task. The lane is emptied *first* so nested
   /// helping (which shares this thread's buffer) never observes a
@@ -584,43 +556,67 @@ class PoolRuntime : public Runtime<Message> {
         last_offset = offset;
         stalled_rounds = 0;
       }
-      if (HelpOrWait(task)) {
+      if (TryHelp(task)) {
         stalled_rounds = 0;  // Helped: the destination drained a slice.
-      } else if (++stalled_rounds >= kStallEscapeRounds) {
+        continue;
+      }
+      // Published for the whole wait (see WaitCycleThroughUs).
+      BlockedOn().store(task, std::memory_order_seq_cst);
+      if (++stalled_rounds >= kStallEscapeRounds ||
+          WaitCycleThroughUs(task)) {
+        BlockedOn().store(nullptr, std::memory_order_seq_cst);
         stall_escapes_.fetch_add(1, std::memory_order_relaxed);
         task->mailbox->PushBatchOverflow(&local, offset);
         break;
       }
+      Wait(task);
+      BlockedOn().store(nullptr, std::memory_order_seq_cst);
     }
     ScheduleIfIdle(task);
   }
 
   /// The destination's mailbox is full: claim and drain a slice of it on
-  /// this thread when possible (returns true), otherwise wait — bounded —
-  /// for its current runner to make room (returns false).
-  bool HelpOrWait(Task* task) {
-    int expected = kIdle;
-    if (task->state.compare_exchange_strong(expected, kRunning,
-                                            std::memory_order_acq_rel)) {
-      RunSlice(task);
-      return true;
+  /// this thread when it is idle or queued (a claimed task's run-queue
+  /// hint goes stale and is skipped by whoever pops it). Returns false
+  /// when its runner is elsewhere.
+  bool TryHelp(Task* task) {
+    for (int expected : {kIdle, kQueued}) {
+      if (task->state.compare_exchange_strong(expected, kRunning,
+                                              std::memory_order_acq_rel)) {
+        RunSlice(task);
+        return true;
+      }
     }
-    expected = kQueued;
-    if (task->state.compare_exchange_strong(expected, kRunning,
-                                            std::memory_order_acq_rel)) {
-      // Claimed a scheduled task; its run-queue hint goes stale and will
-      // be skipped by whoever pops it.
-      RunSlice(task);
-      return true;
-    }
+    return false;
+  }
+
+  /// Waits — bounded — for `task`'s current runner to make room.
+  void Wait(Task* task) {
+    const int64_t blocked_at = telemetry::MonotonicNanos();
+    task->mailbox->WaitNotFull();
     if (block_wait_hist_ != nullptr) {
-      const int64_t blocked_at = telemetry::MonotonicNanos();
-      task->mailbox->WaitNotFull();
       block_wait_hist_->Record(
           telemetry::SpanMicros(blocked_at, telemetry::MonotonicNanos()));
-      return false;
     }
-    task->mailbox->WaitNotFull();
+  }
+
+  /// True when the wait-for chain from `task` — its runner is blocked
+  /// pushing to a task whose runner is blocked pushing to ... — reaches a
+  /// task this thread holds: a cycle of full mailboxes no wait resolves.
+  /// Every runner stores its own BlockedOn() before loading the others'
+  /// (all seq_cst), so of the runners of one cycle at least the last to
+  /// block sees it. A stale read costs one needless over-capacity push.
+  bool WaitCycleThroughUs(const Task* task) const {
+    // Each hop lands on another blocked thread (the workers plus the
+    // spout's), so a longer walk is a cycle that does not pass us.
+    for (int hop = 0; hop <= num_threads_; ++hop) {
+      const std::atomic<Task*>* blocked_on =
+          task->runner.load(std::memory_order_relaxed);
+      task = blocked_on != nullptr ? blocked_on->load(std::memory_order_seq_cst)
+                                   : nullptr;
+      if (task == nullptr) return false;
+      if (InHelpChain(task)) return true;
+    }
     return false;
   }
 
@@ -647,13 +643,9 @@ class PoolRuntime : public Runtime<Message> {
       std::lock_guard<std::mutex> lock(worker->mutex);
       worker->run_queue.push_back(task_id);
     } else {
-      // Spout thread: spread hints round-robin over the injector shards
-      // (one per package under an affinity policy, a single shard
-      // otherwise), so every domain keeps a local feed of source work.
-      InjectShard* shard =
-          inject_shards_[spout_inject_rr_++ % inject_shards_.size()].get();
-      std::lock_guard<std::mutex> lock(shard->mutex);
-      shard->queue.push_back(task_id);
+      // Spout thread: the shared injector queue every worker drains.
+      std::lock_guard<std::mutex> lock(inject_mutex_);
+      inject_.push_back(task_id);
     }
     pending_hints_.fetch_add(1, std::memory_order_seq_cst);
     {
@@ -684,6 +676,7 @@ class PoolRuntime : public Runtime<Message> {
   /// must have claimed `task` (state == kRunning).
   void RunSlice(Task* task) {
     HelpChain().push_back(task);
+    task->runner.store(&BlockedOn(), std::memory_order_relaxed);
     std::vector<Item> batch;
     batch.reserve(kSliceBatch);
     task->mailbox->PopBatch(&batch, kSliceBatch);
@@ -705,6 +698,7 @@ class PoolRuntime : public Runtime<Message> {
     }
     FlushDeliveries();
     HelpChain().pop_back();
+    task->runner.store(nullptr, std::memory_order_relaxed);
     task->state.store(kIdle, std::memory_order_release);
     if (!task->mailbox->Empty()) ScheduleIfIdle(task);
   }
@@ -736,26 +730,11 @@ class PoolRuntime : public Runtime<Message> {
     }
   }
 
-  int PopInjectShard(size_t shard_index) {
-    InjectShard* shard = inject_shards_[shard_index].get();
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    if (shard->queue.empty()) return -1;
-    const int task_id = shard->queue.front();
-    shard->queue.pop_front();
-    return task_id;
-  }
-
   /// Claims the next runnable task, nearest work first: own queue (LIFO),
-  /// the own domain's spout injector shard, steals from peers in topology
-  /// distance order (same core, same package, remote — PlanStealOrder;
-  /// the plain ring when no affinity policy is set), then the remote
-  /// injector shards. Returns nullptr when no hint yields a claim.
+  /// the spout's injector queue, then steals from peers in ring order
+  /// (w + 1, w + 2, ...). Returns nullptr when no hint yields a claim.
   Task* FindWork(int worker_id) {
     Worker* self = workers_[static_cast<size_t>(worker_id)].get();
-    const int own_shard = worker_shard_[static_cast<size_t>(worker_id)];
-    const std::vector<int>* steal_order =
-        steal_order_.empty() ? nullptr
-                             : &steal_order_[static_cast<size_t>(worker_id)];
     while (true) {
       int task_id = -1;
       bool stolen = false;
@@ -767,27 +746,23 @@ class PoolRuntime : public Runtime<Message> {
         }
       }
       if (task_id < 0) {
-        task_id = PopInjectShard(static_cast<size_t>(own_shard));
+        std::lock_guard<std::mutex> lock(inject_mutex_);
+        if (!inject_.empty()) {
+          task_id = inject_.front();
+          inject_.pop_front();
+        }
       }
       if (task_id < 0) {
         for (int i = 1; i < num_threads_ && task_id < 0; ++i) {
-          const int victim_id =
-              steal_order != nullptr
-                  ? (*steal_order)[static_cast<size_t>(i - 1)]
-                  : (worker_id + i) % num_threads_;
-          Worker* victim = workers_[static_cast<size_t>(victim_id)].get();
+          Worker* victim =
+              workers_[static_cast<size_t>((worker_id + i) % num_threads_)]
+                  .get();
           std::lock_guard<std::mutex> lock(victim->mutex);
           if (!victim->run_queue.empty()) {
             task_id = victim->run_queue.front();
             victim->run_queue.pop_front();
             stolen = true;
           }
-        }
-      }
-      if (task_id < 0) {
-        for (size_t s = 1; s < inject_shards_.size() && task_id < 0; ++s) {
-          task_id = PopInjectShard(
-              (static_cast<size_t>(own_shard) + s) % inject_shards_.size());
         }
       }
       if (task_id < 0) return nullptr;
@@ -805,11 +780,6 @@ class PoolRuntime : public Runtime<Message> {
 
   void WorkerLoop(int worker_id) {
     WorkerIndex() = worker_id;
-    if (!placement_.empty() &&
-        PinCurrentThreadToCpu(
-            placement_[static_cast<size_t>(worker_id)].cpu)) {
-      workers_pinned_.fetch_add(1, std::memory_order_relaxed);
-    }
     DeliveryBuffer buffer(tasks_.size());
     ThreadBuffer() = &buffer;
     while (true) {
@@ -829,17 +799,9 @@ class PoolRuntime : public Runtime<Message> {
     WorkerIndex() = -1;
   }
 
-  /// One spout-injector shard per affinity domain (package); a single
-  /// shard when workers are unpinned.
-  struct InjectShard {
-    std::mutex mutex;
-    std::deque<int> queue;  // Task-id hints from the spout thread.
-  };
-
   Topology<Message>* topology_;
   const size_t queue_capacity_;
   const int num_threads_;
-  const AffinityPolicy affinity_;
   const Timestamp start_time_;  // Resume point (checkpoint restore).
   int spout_component_ = -1;
   /// Per-task payload arenas (indexed by task id). Declared before the
@@ -852,13 +814,8 @@ class PoolRuntime : public Runtime<Message> {
   std::vector<std::unique_ptr<Worker>> workers_;
   bool ran_ = false;
 
-  // Affinity plan (filled by Run; empty placement = policy none).
-  std::vector<CpuLocation> placement_;
-  std::vector<std::vector<int>> steal_order_;
-  std::vector<int> worker_shard_;
-
-  std::vector<std::unique_ptr<InjectShard>> inject_shards_;
-  size_t spout_inject_rr_ = 0;  // Spout thread only.
+  std::mutex inject_mutex_;
+  std::deque<int> inject_;  // Task-id hints from the spout thread.
   std::atomic<int> pending_hints_{0};
   std::mutex work_mutex_;
   std::condition_variable work_cv_;
@@ -873,7 +830,6 @@ class PoolRuntime : public Runtime<Message> {
   std::atomic<uint64_t> tasks_spawned_{0};
   std::atomic<uint64_t> tasks_retired_{0};
   std::atomic<uint64_t> payload_shares_{0};
-  std::atomic<int> workers_pinned_{0};
   telemetry::LatencyHistogram* queue_depth_hist_ = nullptr;
   telemetry::LatencyHistogram* block_wait_hist_ = nullptr;
   telemetry::LatencyHistogram* worker_steals_hist_ = nullptr;
@@ -885,13 +841,20 @@ class PoolRuntime : public Runtime<Message> {
   // thread_locals (out-of-class thread_local static members of a class
   // template trip GCC's __tls_guard emission once a TU instantiates three
   // Message types). HelpChain() is the stack of tasks this thread
-  // currently runs (nested helping); ThreadBuffer() the thread's delivery
-  // buffer; WorkerIndex() -1 outside worker threads. The state is safe
-  // across sequential PoolRuntime instances: the chain is push/pop
-  // balanced and the buffer/index are reset on exit.
+  // currently runs (nested helping); BlockedOn() the task this thread
+  // waits to push to (null otherwise), read by other threads through
+  // Task::runner; ThreadBuffer() the thread's delivery buffer;
+  // WorkerIndex() -1 outside worker threads. The state is safe across
+  // sequential PoolRuntime instances: the chain is push/pop balanced, the
+  // slot is cleared after every wait and the buffer/index are reset on
+  // exit.
   static std::vector<Task*>& HelpChain() {
     static thread_local std::vector<Task*> chain;
     return chain;
+  }
+  static std::atomic<Task*>& BlockedOn() {
+    static thread_local std::atomic<Task*> blocked_on{nullptr};
+    return blocked_on;
   }
   static DeliveryBuffer*& ThreadBuffer() {
     static thread_local DeliveryBuffer* buffer = nullptr;

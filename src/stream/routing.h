@@ -33,12 +33,14 @@ inline constexpr size_t kQueueBatch = 64;
 
 /// Consecutive no-progress full-queue rounds (1 ms bounded waits) before a
 /// pusher spills over capacity — the pool runtime's bounded-stall overflow
-/// escape. Two tasks blocked pushing at each other's full queues — e.g.
-/// the Disseminator->Merger feedback edge against the
-/// Merger->Disseminator install broadcasts, both backed up — can make no
-/// progress under strict blocking; after ~64 ms without progress the
-/// pusher spills, trading transient over-capacity on one edge for
-/// deadlock freedom. Escapes are counted in RuntimeStats::stall_escapes.
+/// escape. Tasks blocked pushing at each other's full queues — e.g. the
+/// Disseminator->Merger feedback edge against the Merger->Disseminator
+/// install broadcasts, both backed up — can make no progress under strict
+/// blocking. The pool spills at once when a pusher sees such a cycle of
+/// blocked runners through itself; this window is the fallback for a
+/// cycle no pusher saw, trading transient over-capacity on one edge for
+/// deadlock freedom. Escapes are counted in
+/// RuntimeStats::stall_escapes.
 inline constexpr int kStallEscapeRounds = 64;
 
 /// Per-producer-thread staging area of the pool runtime: envelopes headed

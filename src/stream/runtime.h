@@ -97,51 +97,6 @@ class TopologyControl {
   virtual int ResizeComponent(int component, int target_parallelism) = 0;
 };
 
-/// Worker-to-core pinning policy for the pool runtime (cpu_topology.h
-/// plans the placement from /sys CPU topology, with a flat fallback):
-///  * kNone — workers float, the OS scheduler decides (default).
-///  * kCompact — fill one package/NUMA domain before the next; workers
-///    that exchange envelopes share caches.
-///  * kScatter — round-robin workers across packages; spreads memory
-///    bandwidth for independent tasks.
-/// Pinning also shards the steal order and the spout injector queues by
-/// topology distance, so work stays NUMA-local when local work exists.
-enum class AffinityPolicy {
-  kNone,
-  kCompact,
-  kScatter,
-};
-
-inline const char* AffinityPolicyName(AffinityPolicy policy) {
-  switch (policy) {
-    case AffinityPolicy::kNone:
-      return "none";
-    case AffinityPolicy::kCompact:
-      return "compact";
-    case AffinityPolicy::kScatter:
-      return "scatter";
-  }
-  return "unknown";
-}
-
-/// Parses an --affinity flag value ("none", "compact", "scatter"). Returns
-/// false (and leaves *out untouched) on an unknown name.
-inline bool ParseAffinityPolicy(std::string_view name, AffinityPolicy* out) {
-  if (name == "none") {
-    *out = AffinityPolicy::kNone;
-    return true;
-  }
-  if (name == "compact") {
-    *out = AffinityPolicy::kCompact;
-    return true;
-  }
-  if (name == "scatter") {
-    *out = AffinityPolicy::kScatter;
-    return true;
-  }
-  return false;
-}
-
 /// Substrate knobs of the concurrent (pool) runtime. The simulator ignores
 /// all of them but start_time (it has no queues and exactly one thread).
 struct RuntimeOptions {
@@ -153,10 +108,6 @@ struct RuntimeOptions {
 
   /// Pool runtime: worker threads. 0 = std::thread::hardware_concurrency.
   int num_threads = 0;
-
-  /// Pool runtime: worker-to-core pinning (see AffinityPolicy). The
-  /// simulator ignores it.
-  AffinityPolicy affinity = AffinityPolicy::kNone;
 
   /// Virtual time the stream resumes at (checkpoint restore): every tick
   /// schedule starts at the first boundary *strictly after* this instant
@@ -186,8 +137,8 @@ inline Timestamp FirstTickAfter(Timestamp period, Timestamp start_time) {
 }
 
 /// Counters a runtime exposes after Run(), so backpressure and scheduling
-/// behaviour are observable (ops::MetricsSink::OnRuntimeStats forwards them
-/// to the experiment harness).
+/// behaviour are observable (exp::RunExperiment copies them into
+/// ExperimentResult::runtime_stats).
 struct RuntimeStats {
   /// Envelopes executed by bolt tasks (all components, all instances).
   uint64_t envelopes_moved = 0;
@@ -198,9 +149,10 @@ struct RuntimeStats {
   uint64_t queue_full_blocks = 0;
   /// High-water mark over every per-task queue (envelopes).
   uint64_t max_queue_depth = 0;
-  /// Bounded-stall overflow escapes: a pusher made no progress against a
-  /// full destination queue for the escape window (a cross-thread cycle of
-  /// simultaneously full queues) and spilled over capacity to break it.
+  /// Overflow escapes from a cross-thread cycle of simultaneously full
+  /// queues: a pusher spilled over capacity to break it, at once when it
+  /// saw the cycle of blocked runners pass through itself, else after a
+  /// no-progress escape window.
   /// Nonzero values mean queue_capacity is too small for the topology's
   /// feedback traffic.
   uint64_t stall_escapes = 0;
@@ -221,9 +173,6 @@ struct RuntimeStats {
   /// free list instead of fresh slab/heap space. High values mean the
   /// steady-state hot path allocates nothing.
   uint64_t arena_reuses = 0;
-  /// Pool: workers successfully pinned to a core
-  /// (RuntimeOptions::affinity; 0 under kNone or when pinning is refused).
-  int workers_pinned = 0;
   /// Physical threads that executed bolts (simulation: 1).
   int num_threads = 0;
   /// The queue capacity the runtime actually ran with (simulation: 0).

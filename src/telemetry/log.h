@@ -18,8 +18,8 @@ enum class LogLevel : int {
 
 /// Effective global level. Initialised once from the CORRTRACK_LOG
 /// environment variable (off|error|warn|info|debug); defaults to kError,
-/// so kWarn-level degradation notices (checkpoint write failures, sysfs
-/// fallbacks) stay quiet in tests unless explicitly enabled.
+/// so kWarn-level degradation notices (checkpoint write failures, refused
+/// checkpoint sections) stay quiet in tests unless explicitly enabled.
 LogLevel GlobalLogLevel();
 
 /// Overrides the global level (tests and examples). Pass-through until

@@ -9,8 +9,12 @@
 // the centralised baseline's, so any state lost or doubled across the
 // kill/restore shows up as a counter mismatch.
 
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,6 +30,8 @@
 #include "ops/tracker_op.h"
 #include "serve/correlation_index.h"
 #include "serve/index_sink.h"
+#include "storage/checkpoint.h"
+#include "storage/crc32c.h"
 #include "storage/storage.h"
 
 namespace corrtrack {
@@ -413,7 +419,9 @@ TEST(KillRestore, FaultedWritesDegradeGracefullyAndNeverPerturbIngest) {
 // ---------------------------------------------------------------------------
 // Capture codec: the storage-facing encoding round-trips every field.
 
-TEST(PipelineCheckpointCodec, EncodeDecodeRoundTrip) {
+/// One of every section kind, each with a non-empty count at every
+/// counted field: the round-trip fixture and the mutation fuzz's seed.
+ops::PipelineCheckpointState CodecState() {
   ops::PipelineCheckpointState state;
   state.docs_ingested = 12345;
   state.last_time = 98765;
@@ -461,6 +469,7 @@ TEST(PipelineCheckpointCodec, EncodeDecodeRoundTrip) {
   state.disseminator.epoch = 4;
   state.disseminator.next_token = 6;
   state.disseminator.docs_seen = 12345;
+  state.disseminator.batch_per_calculator = {3, 4};
   const TagId uncovered[] = {5, 6};
   state.disseminator.uncovered_counts.emplace_back(
       TagSet::FromSorted(uncovered, uncovered + 2), -1);
@@ -469,7 +478,14 @@ TEST(PipelineCheckpointCodec, EncodeDecodeRoundTrip) {
   state.merger.epoch = 4;
   state.merger.had_pending_rounds = true;
   state.serve_blob = "opaque serve bytes";
+  state.has_centralized = true;
+  state.centralized.counters = state.calculators[0].counters;
+  state.centralized.periods = state.tracker.periods;
+  return state;
+}
 
+TEST(PipelineCheckpointCodec, EncodeDecodeRoundTrip) {
+  const ops::PipelineCheckpointState state = CodecState();
   const storage::CheckpointData data =
       ops::EncodeCheckpoint(state, /*seq=*/7, /*fingerprint=*/0xABCDu);
   EXPECT_EQ(data.seq, 7u);
@@ -503,7 +519,128 @@ TEST(PipelineCheckpointCodec, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded.disseminator.uncovered_counts[0].second, -1);
   EXPECT_TRUE(decoded.merger.has_master);
   EXPECT_TRUE(decoded.merger.had_pending_rounds);
+  EXPECT_TRUE(decoded.has_centralized);
+  EXPECT_EQ(decoded.centralized.periods.size(), 1u);
   EXPECT_EQ(decoded.serve_blob, state.serve_blob);
+}
+
+/// Little-endian fields of the given byte widths: a hand-built section.
+std::string Fields(std::initializer_list<std::pair<int, uint64_t>> fields) {
+  std::string out;
+  for (const auto& [width, value] : fields) {
+    out.append(reinterpret_cast<const char*>(&value),
+               static_cast<size_t>(width));
+  }
+  return out;
+}
+
+// A count read from checkpoint bytes sizes a reserve/resize before any
+// element is read. Each crafted section below claims 2^40 elements behind
+// a payload far too short to hold them: the decoder must refuse it, not
+// die in the allocator (std::bad_alloc / length_error).
+TEST(PipelineCheckpointCodec, OversizedCountsAreRefused) {
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  // Disseminator fields between its PartitionSet and the z-batch loads.
+  const std::string dissem_scalars =
+      Fields({{4, 1}, {8, 0}, {8, 0}, {1, 0}, {1, 0}, {4, 0}, {8, 0},
+              {8, 0}, {8, 0}, {8, 0}, {8, 0}, {8, 0}, {8, 0}, {8, 0},
+              {8, 0}});
+  const std::pair<std::string, std::string> cases[] = {
+      // instance, epoch, quiesces, counters.
+      {"calc_0000", Fields({{8, 0}, {4, 1}, {8, 0}, {8, kHuge}})},
+      // instance, last_token, answered_any, window.
+      {"part_0000", Fields({{8, 0}, {4, 0}, {1, 1}, {8, kHuge}})},
+      {"parser", Fields({{8, kHuge}})},
+      // reports, epoch, periods; then one period claiming kHuge estimates.
+      {"tracker", Fields({{8, 0}, {4, 0}, {8, kHuge}})},
+      {"tracker", Fields({{8, 0}, {4, 0}, {8, 1}, {8, 60000}, {8, kHuge}})},
+      {"central", Fields({{8, kHuge}})},
+      {"calc_99999999999", ""},  // Instance suffix overflowing an int.
+      // has_master/has_partitions, then a PartitionSet claiming kHuge
+      // partitions, one partition of kHuge tags, or kHuge loads.
+      {"merger", Fields({{1, 1}, {8, kHuge}})},
+      {"merger", Fields({{1, 1}, {8, 1}, {8, kHuge}})},
+      {"merger", Fields({{1, 1}, {8, 1}, {8, 0}, {8, kHuge}})},
+      {"dissem", Fields({{1, 1}, {8, kHuge}})},
+      {"dissem", Fields({{1, 1}, {8, 1}, {8, kHuge}})},
+      {"dissem", Fields({{1, 1}, {8, 0}, {8, kHuge}})},
+      // Empty PartitionSet, then kHuge z-batch loads / uncovered sets.
+      {"dissem", Fields({{1, 1}, {8, 0}, {8, 0}}) + dissem_scalars +
+                     Fields({{8, kHuge}})},
+      {"dissem", Fields({{1, 1}, {8, 0}, {8, 0}}) + dissem_scalars +
+                     Fields({{8, 0}, {8, kHuge}})},
+  };
+  for (const auto& [name, payload] : cases) {
+    storage::CheckpointData data;
+    data.sections.push_back({name, payload});
+    ops::PipelineCheckpointState decoded;
+    EXPECT_FALSE(ops::DecodeCheckpoint(data, &decoded)) << name;
+  }
+
+  // Serving index snapshot: shards, epoch, latest period, recent periods.
+  const uint64_t shards = serve::ServeConfig().num_shards;
+  EXPECT_FALSE(serve::CorrelationIndex().RestoreState(
+      Fields({{4, shards}, {8, 1}, {8, 60000}, {8, kHuge}})));
+
+  // Storage manifest: the chunk-table row count, CRC tail re-sealed so
+  // only the count is wrong.
+  storage::MemoryStorage::Global()->Clear();
+  std::shared_ptr<storage::Storage> mem(storage::MemoryStorage::Global(),
+                                        [](storage::Storage*) {});
+  const std::string root = "mem://oversized";
+  ASSERT_TRUE(storage::CheckpointWriter(mem, root)
+                  .Write(ops::EncodeCheckpoint(CodecState(), 1, 0xABCDu))
+                  .ok());
+  const std::string manifest = storage::JoinPath(
+      storage::JoinPath(root, storage::CheckpointDirName(1)), "MANIFEST");
+  std::string bytes;
+  ASSERT_TRUE(mem->ReadFile(manifest, &bytes).ok());
+  // magic, version, seq, docs, last_time, epoch, live, max, fingerprint,
+  // clean_cut; then num_chunks.
+  constexpr size_t kNumChunksAt = 4 + 4 + 8 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
+  bytes.replace(kNumChunksAt, 4, Fields({{4, 0xFFFFFFFFu}}));
+  const std::string_view body(bytes.data(), bytes.size() - 4);
+  bytes.replace(body.size(), 4, Fields({{4, storage::Crc32c::Of(body)}}));
+  std::unique_ptr<storage::WritableFile> file;
+  ASSERT_TRUE(mem->NewWritableFile(manifest, &file).ok());
+  ASSERT_TRUE(file->Append(bytes).ok());
+  ASSERT_TRUE(file->Close().ok());
+  storage::CheckpointData data;
+  EXPECT_EQ(storage::CheckpointReader(mem, root).Read(1, &data).code(),
+            storage::StatusCode::kCorruption);
+}
+
+// Seeded mutation fuzz over every section of the round-trip checkpoint
+// (the checkpoint-side twin of net_protocol_test's decode fuzz): byte
+// flips, truncations and extensions must each decode to true or false —
+// never abort, and never touch memory out of bounds (ASan+UBSan job).
+TEST(PipelineCheckpointCodec, MutatedSectionsNeverAbort) {
+  const storage::CheckpointData pristine =
+      ops::EncodeCheckpoint(CodecState(), /*seq=*/7, /*fingerprint=*/0xABCDu);
+  std::mt19937 rng(20140622);
+  std::uniform_int_distribution<int> byte(0, 255);
+  size_t refused = 0;
+  for (int round = 0; round < 20000; ++round) {
+    storage::CheckpointData data = pristine;
+    std::string& payload =
+        data.sections[static_cast<size_t>(rng()) % data.sections.size()]
+            .payload;
+    if (round % 3 == 0) {  // Flip 1-4 bytes.
+      for (int i = 1 + static_cast<int>(rng() % 4); i > 0; --i) {
+        payload[rng() % payload.size()] = static_cast<char>(byte(rng));
+      }
+    } else if (round % 3 == 1) {  // Truncate.
+      payload.resize(rng() % payload.size());
+    } else {  // Extend with random bytes.
+      for (size_t n = 1 + rng() % 16; n > 0; --n) {
+        payload.push_back(static_cast<char>(byte(rng)));
+      }
+    }
+    ops::PipelineCheckpointState decoded;
+    if (!ops::DecodeCheckpoint(data, &decoded)) ++refused;
+  }
+  // Truncations and extensions of every decoded section are malformed.
+  EXPECT_GT(refused, 20000u / 3);
 }
 
 TEST(PipelineCheckpointCodec, FingerprintTracksSemanticKnobs) {

@@ -233,7 +233,7 @@ TEST(ElasticResize, DriverRecordsResizeTrail) {
   EXPECT_EQ(result.serve_mismatches, 0u);
   // The runtime counters flow into the result as well — including the
   // zero-copy fan-out counters (payload blocks shared instead of copied,
-  // arena recycling) surfaced through MetricsSink::OnRuntimeStats.
+  // arena recycling) copied from Runtime::stats() after the run.
   EXPECT_GE(result.runtime_stats.tasks_spawned, 4u);
   EXPECT_GE(result.runtime_stats.tasks_retired, 5u);
   EXPECT_GT(result.runtime_stats.payload_shares, 0u);

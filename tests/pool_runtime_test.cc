@@ -157,38 +157,40 @@ TEST(PoolRuntime, TasksFarExceedThreadsWithTinyQueues) {
 
 TEST(PoolRuntime, ChainWithCapacityOne) {
   // Capacity 1 forces every hand-off through the full/help paths; the
-  // two-stage chain must drain and terminate on a single worker.
-  const int n = 2000;
-  Topology<Msg> topology;
-  const int spout =
-      topology.AddSpout("src", std::make_unique<CountingSpout>(n));
-  std::vector<SummingBolt*> mids(2, nullptr);
-  const int mid = topology.AddBolt(
-      "mid",
-      [&mids](int instance) {
-        auto b = std::make_unique<SummingBolt>(true);
-        mids[static_cast<size_t>(instance)] = b.get();
-        return b;
-      },
-      2);
-  SummingBolt* last = nullptr;
-  const int sink = topology.AddBolt(
-      "sink",
-      [&last](int) {
-        auto b = std::make_unique<SummingBolt>(false);
-        last = b.get();
-        return b;
-      },
-      1);
-  topology.Subscribe(mid, spout, Grouping<Msg>::Shuffle());
-  topology.Subscribe(sink, mid, Grouping<Msg>::Global());
-  RuntimeOptions options;
-  options.num_threads = 1;
-  options.queue_capacity = 1;
-  PoolRuntime<Msg> runtime(&topology, options);
-  runtime.Run();
-  EXPECT_EQ(last->count, n);
-  EXPECT_EQ(last->sum, static_cast<long long>(n) * (n - 1) / 2);
+  // two-stage chain must drain and terminate on a single worker. The
+  // second shape is the concurrent fan-in: eight producers spread over
+  // four workers (stealing from the injector and each other) all push
+  // into the one Global sink's 64-slot mailbox.
+  struct Shape { int mids, threads; size_t capacity; int n; };
+  for (const Shape shape : {Shape{2, 1, 1, 2000}, Shape{8, 4, 64, 20000}}) {
+    SCOPED_TRACE(shape.threads);
+    const int n = shape.n;
+    Topology<Msg> topology;
+    const int spout =
+        topology.AddSpout("src", std::make_unique<CountingSpout>(n));
+    const int mid = topology.AddBolt(
+        "mid", [](int) { return std::make_unique<SummingBolt>(true); },
+        shape.mids);
+    SummingBolt* last = nullptr;
+    const int sink = topology.AddBolt(
+        "sink",
+        [&last](int) {
+          auto b = std::make_unique<SummingBolt>(false);
+          last = b.get();
+          return b;
+        },
+        1);
+    topology.Subscribe(mid, spout, Grouping<Msg>::Shuffle());
+    topology.Subscribe(sink, mid, Grouping<Msg>::Global());
+    RuntimeOptions options;
+    options.num_threads = shape.threads;
+    options.queue_capacity = shape.capacity;
+    PoolRuntime<Msg> runtime(&topology, options);
+    runtime.Run();
+    EXPECT_EQ(runtime.TuplesDelivered(mid), static_cast<uint64_t>(n));
+    EXPECT_EQ(last->count, n);
+    EXPECT_EQ(last->sum, static_cast<long long>(n) * (n - 1) / 2);
+  }
 }
 
 TEST(PoolRuntime, TicksFireFromStreamTime) {
